@@ -1,11 +1,11 @@
 //! Experiment drivers shared by the Criterion benches and the `repro`
 //! binary that regenerates every figure of the paper.
 //!
-//! Each paper artifact maps to one driver here (see `DESIGN.md §3` for
-//! the full index); the benches time the underlying computations, while
-//! `cargo run --release -p wampde-bench --bin repro` writes the figure
-//! data as CSV into `target/repro/` and prints the headline numbers for
-//! `EXPERIMENTS.md`.
+//! Each paper artifact maps to one driver here (the `repro` binary's
+//! `--fig`/`--table` options are the full index); the benches time the
+//! underlying computations, while
+//! `cargo run --release -p wampde_bench --bin repro` writes the figure
+//! data as CSV into `target/repro/` and prints the headline numbers.
 
 use circuitdae::circuits::{self, MemsVcoConfig};
 use circuitdae::{CircuitDae, Dae};

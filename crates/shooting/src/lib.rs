@@ -35,11 +35,18 @@ use newtonkit::{Damping, NewtonEngine, NewtonError, NewtonPolicy, NewtonSystem};
 use numkit::vecops::norm2;
 use numkit::DMat;
 use sparsekit::Triplets;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::fmt;
 use transim::{
     run_transient, Integrator, NewtonOptions, StepControl, TransientOptions, TransientResult,
 };
+
+/// Relative tolerance of the warm-up and settle transients in
+/// [`oscillator_steady_state`]. They only yield a period estimate and a
+/// state near a peak to seed the orbit Newton, which then converges to
+/// [`ShootingOptions::tol`] on its own fixed-step flow, so tighter
+/// transients buy no accuracy.
+const SEED_RTOL: f64 = 1e-3;
 
 /// Errors from the shooting solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +116,9 @@ pub struct ShootingOptions {
     /// detection (typically the oscillating node voltage).
     pub phase_var: usize,
     /// Number of warm-up periods simulated before period detection in
-    /// [`oscillator_steady_state`].
+    /// [`oscillator_steady_state`]. The warm-up and settle transients are
+    /// seed-grade (loose tolerance): the orbit's accuracy comes from
+    /// `tol` and `steps_per_period`, not from this horizon.
     pub warmup_periods: f64,
     /// Relative kick applied to the DC solution to start the oscillation.
     pub kick: f64,
@@ -316,6 +325,12 @@ struct FlowMemo {
 /// the orbit amplitude and the period unknown is kept within a factor of
 /// 2 per step (a full line search would cost one flow integration per
 /// trial — not worth it here).
+///
+/// The amplitude reference is the larger of the first flow's amplitude
+/// and the current one. Measuring only the current flow lets an early
+/// overshoot in one unknown inflate the amplitude it is then judged by,
+/// so later steps may remove only a fixed fraction of the error and
+/// Newton crawls geometrically.
 struct CycleSystem<'a, D: Dae + ?Sized> {
     dae: &'a D,
     n: usize,
@@ -326,6 +341,8 @@ struct CycleSystem<'a, D: Dae + ?Sized> {
     integrator: Integrator,
     solver: LinearSolverKind,
     flow: RefCell<Option<FlowMemo>>,
+    /// Orbit amplitude of the first flow: the trust-region reference.
+    first_amp: OnceCell<f64>,
     /// First underlying failure (transient blow-up, singular mass
     /// matrix); reported instead of the generic engine error.
     error: RefCell<Option<ShootingError>>,
@@ -439,7 +456,7 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
     }
 
     fn damp_limit(&self, _z: &[f64], dx: &[f64]) -> f64 {
-        let orbit_amp = self
+        let current_amp = self
             .flow
             .borrow()
             .as_ref()
@@ -449,7 +466,11 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
                     .flat_map(|s| s.iter())
                     .fold(0.0_f64, |m, v| m.max(v.abs()))
             })
-            .unwrap_or(0.0)
+            .unwrap_or(0.0);
+        let orbit_amp = self
+            .first_amp
+            .get_or_init(|| current_amp)
+            .max(current_amp)
             .max(1e-12);
         let dx_norm = norm2(&dx[..self.n]);
         if dx_norm > 0.3 * orbit_amp {
@@ -471,8 +492,8 @@ impl<D: Dae + ?Sized> NewtonSystem for CycleSystem<'_, D> {
 /// damping and the relative-residual convergence law
 /// (`‖F‖₂ / max(‖x0_guess‖, 1) < tol`), matching the historical
 /// behaviour: one flow integration per iteration, state moves capped at
-/// 30 % of the orbit amplitude, the period kept within a factor of 2 per
-/// step.
+/// 30 % of the orbit amplitude (the larger of the first and the current
+/// flow's), the period kept within a factor of 2 per step.
 ///
 /// # Errors
 ///
@@ -511,6 +532,7 @@ pub fn find_periodic_orbit<D: Dae + ?Sized>(
         integrator: opts.integrator,
         solver: opts.linear_solver,
         flow: RefCell::new(None),
+        first_amp: OnceCell::new(),
         error: RefCell::new(None),
     };
 
@@ -595,6 +617,12 @@ pub fn estimate_period_from_transient(res: &TransientResult, var: usize) -> Opti
 /// Full pipeline for an autonomous oscillator: DC operating point →
 /// kicked warm-up transient → period detection → shooting.
 ///
+/// The warm-up and settle transients are seed-grade: they run at a loose
+/// relative tolerance and only supply the period guess and a starting
+/// state near a peak of the phase variable. The orbit's accuracy comes
+/// from [`ShootingOptions::tol`] and [`ShootingOptions::steps_per_period`],
+/// which govern the Newton solve on the fixed-step flow.
+///
 /// # Errors
 ///
 /// [`ShootingError::NoOscillation`] when the warm-up never oscillates;
@@ -646,7 +674,7 @@ pub fn oscillator_steady_state_with_stats<D: Dae + ?Sized>(
         let opts_tr = TransientOptions {
             integrator: Integrator::Trapezoidal,
             step: StepControl::Adaptive {
-                rtol: 1e-6,
+                rtol: SEED_RTOL,
                 atol: 1e-12,
                 dt_init: horizon_guess / 2000.0,
                 dt_min: 0.0,
@@ -903,6 +931,43 @@ mod tests {
         .unwrap();
         let rel = (dense.period - sparse.period).abs() / dense.period;
         assert!(rel < 1e-9, "period {} vs {}", dense.period, sparse.period);
+    }
+
+    /// The committed tuning-curve deck's 1.2 V orbit seeding its 1.4 V
+    /// point: the first Newton step overshoots a varactor unknown by
+    /// orders of magnitude, and a trust region measured on that inflated
+    /// flow would let Newton shrink the error only geometrically.
+    #[test]
+    fn continuation_warm_start_converges_in_a_few_flows() {
+        let deck =
+            circuitdae::parse_deck(include_str!("../../../examples/decks/vco_sweep.ckt")).unwrap();
+        let spec = match deck.analyses[0] {
+            circuitdae::AnalysisSpec::Shooting(spec) => spec,
+            ref other => panic!("deck must start with .shooting, got {other:?}"),
+        };
+        let opts = ShootingOptions {
+            steps_per_period: spec.steps_per_period,
+            phase_var: spec.phase_var,
+            linear_solver: spec.solver,
+            ..Default::default()
+        };
+        let at_12 = deck.instantiate(&[1.2]).unwrap();
+        let at_14 = deck.instantiate(&[1.4]).unwrap();
+        let seed = oscillator_steady_state(&at_12, &opts).unwrap();
+        let cold = oscillator_steady_state(&at_14, &opts).unwrap();
+        let warm = find_periodic_orbit(&at_14, &seed.x0, seed.period, &opts).unwrap();
+        assert!(
+            warm.iterations <= 6,
+            "warm start took {} flow evaluations",
+            warm.iterations
+        );
+        let rel = (warm.frequency() - cold.frequency()).abs() / cold.frequency();
+        assert!(
+            rel < 1e-9,
+            "warm {} Hz vs cold {} Hz (rel {rel:e})",
+            warm.frequency(),
+            cold.frequency()
+        );
     }
 
     #[test]
