@@ -1,7 +1,7 @@
 //! `wampde-cli` — deck-driven, parallel, shardable experiment runs.
 //!
 //! ```text
-//! wampde-cli <deck.ckt> [--jobs N] [--solver-threads M] [--out DIR]
+//! wampde-cli <deck.ckt> [--jobs N] [--out DIR]
 //!            [--solver KIND] [--integrator SCHEME] [--rtol V] [--list]
 //!            [--shards M] [--shard-index K]
 //!            [--cache-dir DIR] [--no-cache] [--cache-max-bytes BYTES]
@@ -39,15 +39,12 @@
 //! operator guide.
 //!
 //! `--jobs 0` auto-sizes the worker pool to the machine's available
-//! cores. `--solver-threads M` caps *intra-solve* parallelism (parallel
-//! BTF block factorisation, circulant-mode LUs, partitioned stamping
-//! and SpMV) at `M` threads per solve; `--solver-threads 0` (default)
-//! leases leftover cores dynamically under the shared
-//! `linsolve::CoreBudget`, so jobs × solver threads never exceeds the
-//! machine. See BUILDING.md ("Choosing thread counts").
+//! cores. Each solve runs serially on its worker thread; sweep points
+//! are the only unit of parallelism. See BUILDING.md ("Choosing thread
+//! counts").
 //!
 //! Determinism invariant: aggregate artifacts are byte-identical for
-//! any `--jobs` value, any `--solver-threads` value, any shard layout
+//! any `--jobs` value, any shard layout
 //! (after `merge`), and cold vs. warm cache. Only the JSONL stream
 //! order varies between runs.
 //! Instrumentation preserves it too: `--trace DIR` records the run with
@@ -77,7 +74,7 @@ use wampde_bench::out::{json_escape, write_csv_in, write_text_in};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wampde-cli <deck.ckt> [--jobs N] [--solver-threads M] [--out DIR] \
+        "usage: wampde-cli <deck.ckt> [--jobs N] [--out DIR] \
          [--solver KIND] [--integrator SCHEME] [--rtol V] [--list] \
          [--shards M] [--shard-index K] [--cache-dir DIR] [--no-cache] \
          [--cache-max-bytes BYTES] [--no-warm-start] [--trace DIR] [--metrics]"
@@ -85,14 +82,13 @@ fn usage() -> ! {
     eprintln!("       wampde-cli merge <shard_manifest.json>... [--out DIR]");
     eprintln!("  KIND: dense | sparselu | klu | gmres | gmres-circulant");
     eprintln!("  SCHEME: be | trap | bdf2");
-    eprintln!("  --jobs 0 / --solver-threads 0 auto-size to the machine's cores");
+    eprintln!("  --jobs 0 auto-sizes the worker pool to the machine's cores");
     std::process::exit(2);
 }
 
 struct Args {
     deck_path: PathBuf,
     jobs: usize,
-    solver_threads: usize,
     out_dir: Option<PathBuf>,
     solver: Option<LinearSolverKind>,
     integrator: Option<Scheme>,
@@ -111,7 +107,6 @@ struct Args {
 fn parse_args(argv: &[String]) -> Args {
     let mut deck_path: Option<PathBuf> = None;
     let mut jobs = 1usize;
-    let mut solver_threads = 0usize;
     let mut out_dir: Option<PathBuf> = None;
     let mut solver: Option<LinearSolverKind> = None;
     let mut integrator: Option<Scheme> = None;
@@ -174,11 +169,11 @@ fn parse_args(argv: &[String]) -> Args {
                 );
             }
             "--solver-threads" => {
-                i += 1;
-                solver_threads = argv.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--solver-threads requires a non-negative integer (0 = auto)");
-                    std::process::exit(2);
-                });
+                eprintln!(
+                    "--solver-threads was removed: solves are serial; \
+                     use --jobs N to run sweep points in parallel"
+                );
+                std::process::exit(2);
             }
             "--shards" => {
                 i += 1;
@@ -266,7 +261,6 @@ fn parse_args(argv: &[String]) -> Args {
     Args {
         deck_path,
         jobs,
-        solver_threads,
         out_dir,
         solver,
         integrator,
@@ -420,7 +414,7 @@ fn real_main(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         shard_index: args.shard_index,
         cache,
         warm_start: args.warm_start,
-        solver_threads: args.solver_threads,
+        ..SweepConfig::default()
     };
     // Instrumentation never touches results: the recorder only listens
     // to spans/counters the solvers already emit, and the determinism

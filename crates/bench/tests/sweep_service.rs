@@ -6,7 +6,9 @@
 //!   artifacts — whatever instant the kill landed at, because cache
 //!   entries are written atomically and partial entries read as misses;
 //! * a 1-shard run and a merged 4-shard run produce byte-identical
-//!   aggregates.
+//!   aggregates;
+//! * the removed `--solver-threads` flag is a usage error that names
+//!   `--jobs` as its replacement.
 //!
 //! The tests use a cheap sine-driven RC deck so the full matrix stays
 //! fast even in debug builds; the invariants are deck-independent.
@@ -334,6 +336,37 @@ fn merge_rejects_an_incomplete_shard_set() {
     assert!(!out.status.success(), "merging 1 of 4 shards must fail");
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("missing"), "{stderr}");
+}
+
+#[test]
+fn removed_solver_threads_flag_names_its_replacement() {
+    let dir = scratch("solver_threads");
+    let deck = write_deck(&dir, DECK);
+    let out = Command::new(CLI)
+        .args([
+            &p(&deck),
+            "--solver-threads",
+            "1",
+            "--out",
+            &p(&dir.join("out")),
+            "--no-cache",
+        ])
+        .output()
+        .expect("spawn wampde-cli");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a removed flag is a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        stderr.contains(
+            "--solver-threads was removed: solves are serial; \
+             use --jobs N to run sweep points in parallel"
+        ),
+        "{stderr}"
+    );
+    assert!(!dir.join("out").exists(), "nothing may run: {stderr}");
 }
 
 #[test]

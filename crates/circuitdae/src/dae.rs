@@ -156,18 +156,12 @@ pub trait Dae {
         }
     }
 
-    /// [`Dae::jac_q_triplets`] with a thread-count hint, for
-    /// implementations whose stamps partition across threads (notably
-    /// [`crate::CircuitDae`]). The entry sequence pushed into `out`
-    /// must be identical to the serial method at every thread count —
-    /// callers rely on bitwise-identical downstream factorisations.
-    /// The default ignores the hint and stamps serially.
+    /// Serial [`Dae::jac_q_triplets`]; unused, kept because `vcobench` implements it.
     fn jac_q_triplets_threads(&self, x: &[f64], out: &mut Triplets, _threads: usize) {
         self.jac_q_triplets(x, out);
     }
 
-    /// [`Dae::jac_f_triplets`] with a thread-count hint; same contract
-    /// as [`Dae::jac_q_triplets_threads`].
+    /// Serial [`Dae::jac_f_triplets`]; unused, kept because `vcobench` implements it.
     fn jac_f_triplets_threads(&self, x: &[f64], out: &mut Triplets, _threads: usize) {
         self.jac_f_triplets(x, out);
     }

@@ -57,7 +57,7 @@ use std::fmt;
 pub mod budget;
 pub mod circulant;
 
-pub use budget::{resolve_thread_count, CoreBudget, CoreBudgetGuard, CoreLease, CoreOccupation};
+pub use budget::{resolve_thread_count, CoreBudget};
 pub use circulant::{BlockCirculantPrecond, CyclicShape};
 
 /// Solver-agnostic linear-solve failure (factorisation or back-solve).
@@ -352,108 +352,14 @@ impl JacobianParts<'_> {
         }
     }
 
-    /// Like [`Self::push_triplets`], with the per-sample stamp loops
-    /// partitioned across up to `threads` scoped threads.
-    ///
-    /// Each thread stamps a contiguous range of samples into its own
-    /// index-disjoint arenas (one for the diagonal blocks, one for the
-    /// `D ⊗ C` cross terms); the arenas are then merged in canonical
-    /// serial order — all diagonal stamps in ascending `s`, then all
-    /// cross stamps in ascending `s`, then the border — so the entry
-    /// sequence, and therefore the [`Triplets::to_csr`]/`to_csc`
-    /// results, are bitwise identical to the serial path at every
-    /// thread count. Entry *values* are computed by the identical
-    /// expressions, just on a different thread.
-    pub fn push_triplets_threads(&self, t: &mut Triplets, threads: usize) {
-        let workers = threads.min(self.n0);
-        if workers <= 1 {
-            return self.push_triplets(t);
-        }
-        let len = self.len();
-        let n = self.n;
-        let dim = self.dim();
-        let chunk = self.n0.div_ceil(workers);
-        let ranges: Vec<(usize, usize)> = (0..workers)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(self.n0)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let mut arenas: Vec<(Triplets, Triplets)> = ranges
-            .iter()
-            .map(|_| (Triplets::new(dim, dim), Triplets::new(dim, dim)))
-            .collect();
-        std::thread::scope(|scope| {
-            let obs = obskit::current();
-            for (&(lo, hi), arena) in ranges.iter().zip(arenas.iter_mut()) {
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    let _obs = obs.map(obskit::install_handle);
-                    let (diag, cross) = arena;
-                    for s in lo..hi {
-                        let g = &self.gblocks[s];
-                        let c = &self.cblocks[s];
-                        for i in 0..n {
-                            for j in 0..n {
-                                let v = self.inv_h * c[(i, j)] + self.theta * g[(i, j)];
-                                if v != 0.0 {
-                                    diag.push(self.idx(s, i), self.idx(s, j), v);
-                                }
-                            }
-                        }
-                    }
-                    for s in lo..hi {
-                        for sp in 0..self.n0 {
-                            let d = self.theta * self.omega * self.dmat[(s, sp)];
-                            if d == 0.0 {
-                                continue;
-                            }
-                            let c = &self.cblocks[sp];
-                            for i in 0..n {
-                                for j in 0..n {
-                                    let v = d * c[(i, j)];
-                                    if v != 0.0 {
-                                        cross.push(self.idx(s, i), self.idx(sp, j), v);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        obskit::counter_add("stamp.parallel_partitions", arenas.len() as u64);
-        for (diag, _) in &arenas {
-            t.append(diag);
-        }
-        for (_, cross) in &arenas {
-            t.append(cross);
-        }
-        if let Some((row, col)) = self.border {
-            for k in 0..len {
-                if row[k] != 0.0 {
-                    t.push(len, k, row[k]);
-                }
-                if col[k] != 0.0 {
-                    t.push(k, len, col[k]);
-                }
-            }
-        }
-    }
-
     /// The triplet form (allocating convenience over [`Self::push_triplets`]).
     pub fn assemble_triplets(&self) -> Triplets {
-        self.assemble_triplets_threads(1)
-    }
-
-    /// The triplet form, assembled by [`Self::push_triplets_threads`]
-    /// under the given thread count (bitwise identical to
-    /// [`Self::assemble_triplets`]).
-    pub fn assemble_triplets_threads(&self, threads: usize) -> Triplets {
         let mut t = Triplets::with_capacity(
             self.dim(),
             self.dim(),
             self.n0 * self.n0 * self.n + 4 * self.len(),
         );
-        self.push_triplets_threads(&mut t, threads);
+        self.push_triplets(&mut t);
         t
     }
 }
@@ -550,10 +456,7 @@ fn factor_gmres_cyclic(
 ) -> Result<FactoredJacobian, LinSolveError> {
     let a = trip.to_csr();
     if let Some(s) = shape {
-        let lease = CoreBudget::lease_ambient();
-        let precond = BlockCirculantPrecond::from_csr_threads(&a, s, lease.threads());
-        drop(lease);
-        if let Some(precond) = precond {
+        if let Some(precond) = BlockCirculantPrecond::from_csr(&a, s) {
             return Ok(FactoredJacobian::GmresCyclic {
                 a,
                 precond,
@@ -572,12 +475,7 @@ fn factor_gmres_cyclic(
 /// Runs the KLU symbolic pipeline (BTF + per-block AMD) under the
 /// `factor.btf` / `factor.order` spans, then factors through the
 /// equilibrated matched-pivot path.
-///
-/// With `threads > 1` the independent BTF diagonal blocks are factored
-/// concurrently ([`SparseLu::factor_ordered_threads`] — bitwise
-/// identical to serial), and the `factor.parallel_blocks` counter
-/// records how many blocks the parallel-capable path dispatched.
-fn factor_klu(csc: &sparsekit::Csc, threads: usize) -> Result<SparseLu, LinSolveError> {
+fn factor_klu(csc: &sparsekit::Csc) -> Result<SparseLu, LinSolveError> {
     let form = {
         let _sp = obskit::span("factor.btf");
         sparsekit::btf(csc).map_err(LinSolveError::new)?
@@ -586,13 +484,7 @@ fn factor_klu(csc: &sparsekit::Csc, threads: usize) -> Result<SparseLu, LinSolve
         let _sp = obskit::span("factor.order");
         OrderingPlan::from_btf(csc, &form)
     };
-    let lu = if threads > 1 {
-        obskit::counter_add("factor.parallel_blocks", plan.nblocks() as u64);
-        SparseLu::factor_ordered_threads(csc, &plan, threads)
-    } else {
-        SparseLu::factor_ordered(csc, &plan)
-    }
-    .map_err(LinSolveError::new)?;
+    let lu = SparseLu::factor_ordered(csc, &plan).map_err(LinSolveError::new)?;
     if csc.nnz() > 0 {
         obskit::observe("lu.fill_ratio", lu.factor_nnz() as f64 / csc.nnz() as f64);
     }
@@ -707,11 +599,8 @@ impl FactoredJacobian {
                 Ok(FactoredJacobian::Sparse(lu))
             }
             LinearSolverKind::Klu => {
-                // One lease spans stamping and factorisation so the two
-                // parallel sections do not double-claim cores.
-                let lease = CoreBudget::lease_ambient();
-                let csc = parts.assemble_triplets_threads(lease.threads()).to_csc();
-                Ok(FactoredJacobian::Sparse(factor_klu(&csc, lease.threads())?))
+                let csc = parts.assemble_triplets().to_csc();
+                Ok(FactoredJacobian::Sparse(factor_klu(&csc)?))
             }
             LinearSolverKind::GmresIlu0 {
                 restart,
@@ -754,8 +643,7 @@ impl FactoredJacobian {
             }
             LinearSolverKind::Klu => {
                 let csc = matrix.to_triplets().to_csc();
-                let lease = CoreBudget::lease_ambient();
-                Ok(FactoredJacobian::Sparse(factor_klu(&csc, lease.threads())?))
+                Ok(FactoredJacobian::Sparse(factor_klu(&csc)?))
             }
             LinearSolverKind::GmresIlu0 {
                 restart,
@@ -804,8 +692,7 @@ impl FactoredJacobian {
                     .zip(row_scale.iter())
                     .map(|(v, s)| v * s)
                     .collect();
-                let lease = CoreBudget::lease_ambient();
-                let op = CsrOp::with_threads(a, lease.threads());
+                let op = CsrOp::new(a);
                 let result = gmres(&op, precond, &b, None, opts).map_err(LinSolveError::new)?;
                 for (slot, (y, s)) in rhs.iter_mut().zip(result.x.iter().zip(col_scale.iter())) {
                     *slot = y * s;
@@ -813,8 +700,7 @@ impl FactoredJacobian {
                 Ok(())
             }
             FactoredJacobian::GmresCyclic { a, precond, opts } => {
-                let lease = CoreBudget::lease_ambient();
-                let op = CsrOp::with_threads(a, lease.threads());
+                let op = CsrOp::new(a);
                 let result = gmres(&op, precond, rhs, None, opts).map_err(LinSolveError::new)?;
                 rhs.copy_from_slice(&result.x);
                 Ok(())
@@ -1088,10 +974,7 @@ impl FactorCache {
                 }
             }
             let lu = match self.kind {
-                LinearSolverKind::Klu => {
-                    let lease = CoreBudget::lease_ambient();
-                    factor_klu(&csc, lease.threads())?
-                }
+                LinearSolverKind::Klu => factor_klu(&csc)?,
                 _ => SparseLu::factor(&csc).map_err(LinSolveError::new)?,
             };
             if self.reuse {
@@ -1275,7 +1158,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_assembly_is_bitwise_identical() {
+    fn dense_and_triplet_assembly_agree() {
         let (dmat, cblocks, gblocks) = synthetic_blocks();
         let len = 10;
         let row: Vec<f64> = (0..len).map(|k| (k as f64 * 0.4).sin()).collect();
@@ -1285,55 +1168,15 @@ mod tests {
             if bordered {
                 parts.border = Some((&row, &col));
             }
-            let serial = parts.assemble_triplets();
-            for threads in [2, 3, 7] {
-                let parallel = parts.assemble_triplets_threads(threads);
-                assert_eq!(parallel.len(), serial.len(), "threads={threads}");
-                for ((sr, sc, sv), (pr, pc, pv)) in serial.iter().zip(parallel.iter()) {
-                    assert_eq!((sr, sc), (pr, pc), "coordinate order, threads={threads}");
-                    assert_eq!(
-                        sv.to_bits(),
-                        pv.to_bits(),
-                        "value bits at ({sr},{sc}), threads={threads}"
+            let a = parts.assemble_dense();
+            let b = parts.assemble_triplets().to_dense();
+            for i in 0..parts.dim() {
+                for j in 0..parts.dim() {
+                    assert!(
+                        (a[(i, j)] - b[(i, j)]).abs() < 1e-15,
+                        "({i},{j}) bordered={bordered}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn klu_under_installed_budget_matches_serial_bitwise() {
-        let (dmat, cblocks, gblocks) = synthetic_blocks();
-        let parts = synthetic_parts(&dmat, &cblocks, &gblocks);
-        let rhs: Vec<f64> = (0..parts.dim())
-            .map(|i| ((i * 5 % 11) as f64) - 4.0)
-            .collect();
-        let mut serial = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Klu)
-            .unwrap()
-            .solve_in_place(&mut serial)
-            .unwrap();
-        let budget = CoreBudget::new(4, 4);
-        let _guard = budget.install();
-        let mut leased = rhs.clone();
-        FactoredJacobian::factor(&parts, LinearSolverKind::Klu)
-            .unwrap()
-            .solve_in_place(&mut leased)
-            .unwrap();
-        for (s, p) in serial.iter().zip(leased.iter()) {
-            assert_eq!(s.to_bits(), p.to_bits(), "budgeted KLU must match serial");
-        }
-    }
-
-    #[test]
-    fn dense_and_triplet_assembly_agree() {
-        let (dmat, cblocks, gblocks) = synthetic_blocks();
-        let parts = synthetic_parts(&dmat, &cblocks, &gblocks);
-        let a = parts.assemble_dense();
-        let b = parts.assemble_triplets().to_dense();
-        for i in 0..parts.dim() {
-            for j in 0..parts.dim() {
-                assert!((a[(i, j)] - b[(i, j)]).abs() < 1e-15, "({i},{j})");
             }
         }
     }

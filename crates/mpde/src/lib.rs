@@ -174,8 +174,7 @@ impl Default for MpdeOptions {
 /// This is the workspace-wide [`obskit::RunStats`] summary (shared with
 /// `transim::TransientStats` and `wampde::EnvelopeStats`); `steps`
 /// counts accepted `t2` steps and `newton_iters` includes the `t2 = 0`
-/// steady solve. The former `newton_iterations` field survives as a
-/// deprecated accessor method.
+/// steady solve.
 pub type MpdeStats = obskit::RunStats;
 
 /// An MPDE envelope solution.

@@ -297,9 +297,6 @@ pub struct NewtonEngine {
     // `None` = inherit the thread-ambient pool (see
     // [`linsolve::SharedSymbolic::install`]); `Some(ov)` = pin `ov`.
     shared_override: Option<Option<linsolve::SharedSymbolic>>,
-    // Pinned core budget installed around each solve; `None` = inherit
-    // the thread-ambient [`linsolve::CoreBudget`], if any.
-    budget: Option<linsolve::CoreBudget>,
     stats: NewtonStats,
     // Scratch buffers reused across solves (resized on dimension change).
     r: Vec<f64>,
@@ -333,18 +330,6 @@ impl NewtonEngine {
         self.shared_override = Some(shared);
     }
 
-    /// Pins a [`linsolve::CoreBudget`] on this engine: every
-    /// [`NewtonEngine::solve`] call installs it as the thread-ambient
-    /// budget for its duration, so the stamping, factorisation, and
-    /// GMRES SpMV paths underneath lease their intra-solve threads from
-    /// it. Pass `None` to detach and inherit whatever budget the
-    /// calling thread has installed (the sweep executor's, usually).
-    /// Thread counts never change results: every leased kernel is
-    /// bitwise identical to its serial form.
-    pub fn set_core_budget(&mut self, budget: Option<linsolve::CoreBudget>) {
-        self.budget = budget;
-    }
-
     /// Cumulative factorisation counters across the engine's lifetime.
     pub fn factor_stats(&self) -> FactorStats {
         self.cache
@@ -375,9 +360,6 @@ impl NewtonEngine {
         let n = sys.dim();
         assert_eq!(x.len(), n, "newton: x length mismatch");
 
-        // A pinned budget scopes over the whole solve: stamping,
-        // factorisation, and back-solve all lease from it.
-        let _budget_guard = self.budget.as_ref().map(linsolve::CoreBudget::install);
         let cache = match &mut self.cache {
             Some(c) => {
                 c.set_kind(policy.linear_solver);
@@ -738,29 +720,6 @@ mod tests {
         // Constant pattern: every factorisation after the first reused
         // the symbolic analysis.
         assert_eq!(rep.symbolic_reuses, rep.factorisations - 1);
-    }
-
-    #[test]
-    fn pinned_core_budget_does_not_change_results() {
-        let policy = NewtonPolicy {
-            linear_solver: LinearSolverKind::Klu,
-            ..Default::default()
-        };
-        let mut serial = vec![2.0, 0.5];
-        let mut engine = NewtonEngine::new();
-        engine.solve(&TwoDim, &mut serial, &policy).unwrap();
-
-        let mut budgeted = vec![2.0, 0.5];
-        let mut engine = NewtonEngine::new();
-        engine.set_core_budget(Some(linsolve::CoreBudget::new(4, 4)));
-        engine.solve(&TwoDim, &mut budgeted, &policy).unwrap();
-        assert!(
-            linsolve::CoreBudget::ambient().is_none(),
-            "budget install must not leak past solve()"
-        );
-        for (s, b) in serial.iter().zip(budgeted.iter()) {
-            assert_eq!(s.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -34,16 +34,6 @@ pub enum ColumnOrdering {
 
 const UNPIVOTED: usize = usize::MAX;
 
-/// One diagonal block's disjoint slices of the factor arrays, claimed by
-/// a phase-1 worker of [`SparseLu::factor_ordered_threads`].
-struct BlockSlot<'s> {
-    start: usize,
-    l_cols: &'s mut [Vec<(usize, f64)>],
-    u_cols: &'s mut [Vec<(usize, f64)>],
-    u_diag: &'s mut [f64],
-    perm_r: &'s mut [usize],
-}
-
 /// Sparse LU factors `P·A·Q = L·U` from Gilbert–Peierls elimination.
 ///
 /// * `P` — row permutation chosen by threshold partial pivoting with a mild
@@ -178,441 +168,6 @@ impl SparseLu {
             Some(scale),
             0.1,
         )
-    }
-
-    /// Factors along a KLU-style [`OrderingPlan`] exactly like
-    /// [`SparseLu::factor_ordered`], but distributes the independent BTF
-    /// diagonal blocks across up to `threads` scoped threads.
-    ///
-    /// The block upper-triangular structure makes the diagonal blocks
-    /// numerically independent: a column's within-block elimination only
-    /// reads rows of its own block (L columns never cross a block
-    /// boundary, and eliminations against earlier-block pivots only
-    /// touch earlier-block rows), while its off-block U segment depends
-    /// only on *completed* earlier-block L columns. The parallel path
-    /// therefore factors every diagonal block concurrently into disjoint
-    /// column ranges of the factor arrays (phase 1), then fills in the
-    /// off-block U segments against the finished factors (phase 2) —
-    /// reproducing the serial kernel's floating-point operation sequence
-    /// per entry, so the assembled factor is **bitwise identical** to
-    /// [`SparseLu::factor_ordered`] at every thread count and
-    /// [`SparseLu::refactor`] replays it unchanged. When a recorder is
-    /// installed ([`obskit`]), each block factorisation appears as a
-    /// `factor.block` child span of the caller's innermost span.
-    ///
-    /// `threads <= 1`, or a plan with a single block, delegates to the
-    /// serial kernel.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseLu::factor_ordered`]; a structurally or numerically
-    /// singular block reports the same first failing column as the
-    /// serial kernel.
-    pub fn factor_ordered_threads(
-        a: &Csc,
-        plan: &OrderingPlan,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        if a.nrows() != a.ncols() || plan.col_order.len() != a.ncols() {
-            return Err(SparseError::DimensionMismatch {
-                expected: format!("square matrix of dim {}", plan.col_order.len()),
-                found: format!("{}x{}", a.nrows(), a.ncols()),
-            });
-        }
-        if threads <= 1 || plan.nblocks() <= 1 {
-            return Self::factor_ordered(a, plan);
-        }
-        Self::factor_blocks_parallel(a, plan, threads)
-    }
-
-    /// The two-phase parallel kernel behind
-    /// [`SparseLu::factor_ordered_threads`]. Requires a square matrix
-    /// matching the plan, `threads >= 2`, and at least two BTF blocks.
-    fn factor_blocks_parallel(
-        a: &Csc,
-        plan: &OrderingPlan,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        let n = a.nrows();
-        let scale = Self::compute_row_scales(a);
-        let nblocks = plan.nblocks();
-        let block_ptr = &plan.block_ptr;
-        let perm_c = &plan.col_order;
-        let diag_row = &plan.diag_row;
-
-        // BTF block of each original row: block b's rows are the
-        // maximum-transversal matches of its columns.
-        let mut row_block = vec![0usize; n];
-        for b in 0..nblocks {
-            for j in block_ptr[b]..block_ptr[b + 1] {
-                row_block[diag_row[perm_c[j]]] = b;
-            }
-        }
-
-        let mut l_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        let mut u_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        let mut u_diag = vec![0.0; n];
-        let mut perm_r = vec![UNPIVOTED; n];
-
-        // --- Phase 1: factor every diagonal block independently into
-        // its own (disjoint) column range of the factor arrays. Blocks
-        // are claimed from a shared queue, largest first. ---
-        {
-            let mut slots: Vec<BlockSlot> = Vec::with_capacity(nblocks);
-            let mut lr = &mut l_cols[..];
-            let mut ur = &mut u_cols[..];
-            let mut dr = &mut u_diag[..];
-            let mut pr = &mut perm_r[..];
-            for b in 0..nblocks {
-                let bn = block_ptr[b + 1] - block_ptr[b];
-                let (l0, l1) = lr.split_at_mut(bn);
-                let (u0, u1) = ur.split_at_mut(bn);
-                let (d0, d1) = dr.split_at_mut(bn);
-                let (p0, p1) = pr.split_at_mut(bn);
-                lr = l1;
-                ur = u1;
-                dr = d1;
-                pr = p1;
-                slots.push(BlockSlot {
-                    start: block_ptr[b],
-                    l_cols: l0,
-                    u_cols: u0,
-                    u_diag: d0,
-                    perm_r: p0,
-                });
-            }
-            // Popped from the back: sort ascending by size so the
-            // largest blocks are claimed first.
-            slots.sort_by_key(|s| s.u_diag.len());
-            let queue = std::sync::Mutex::new(slots);
-            // First failure by block order — the same column the serial
-            // kernel (which walks blocks in ascending order) reports.
-            let first_err = std::sync::Mutex::new(None::<(usize, SparseError)>);
-            let obs = obskit::current();
-            let workers = threads.min(nblocks);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let queue = &queue;
-                    let first_err = &first_err;
-                    let obs = obs.clone();
-                    let (row_block, scale) = (&row_block, &scale);
-                    scope.spawn(move || {
-                        let _obs = obs.map(obskit::install_handle);
-                        // Dense work arrays reused across blocks. Stale
-                        // pinv entries from a previous block are never
-                        // read: every traversal is confined to the
-                        // current block's rows.
-                        let mut x = vec![0.0_f64; n];
-                        let mut mark = vec![false; n];
-                        let mut pinv = vec![UNPIVOTED; n];
-                        loop {
-                            let Some(slot) = queue.lock().unwrap().pop() else {
-                                break;
-                            };
-                            let span = obskit::span("factor.block");
-                            span.attr("dim", slot.u_diag.len());
-                            let block = row_block[diag_row[perm_c[slot.start]]];
-                            if let Err(e) = Self::factor_one_block(
-                                a, perm_c, diag_row, row_block, scale, block, slot, &mut x,
-                                &mut mark, &mut pinv,
-                            ) {
-                                let mut guard = first_err.lock().unwrap();
-                                if guard.as_ref().is_none_or(|(b, _)| block < *b) {
-                                    *guard = Some((block, e));
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            if let Some((_, e)) = first_err.into_inner().unwrap() {
-                return Err(e);
-            }
-        }
-
-        // Global row -> pivot position map from the completed phase 1.
-        let mut pinv = vec![UNPIVOTED; n];
-        for (k, &r) in perm_r.iter().enumerate() {
-            pinv[r] = k;
-        }
-
-        // --- Phase 2: off-block U segments. For each column, the U
-        // entries at earlier-block pivot positions, eliminated through
-        // the (now complete) earlier-block L columns in ascending pivot
-        // order — exactly the prefix the serial kernel interleaves into
-        // u_cols before the within-block entries. No pivoting happens
-        // here, so this phase cannot fail. ---
-        let mut off_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        {
-            struct OffSlot<'s> {
-                block: usize,
-                start: usize,
-                off: &'s mut [Vec<(usize, f64)>],
-            }
-            let mut slots: Vec<OffSlot> = Vec::with_capacity(nblocks - 1);
-            let mut or = &mut off_cols[..];
-            for b in 0..nblocks {
-                let bn = block_ptr[b + 1] - block_ptr[b];
-                let (o0, o1) = or.split_at_mut(bn);
-                or = o1;
-                if b > 0 {
-                    // Block 0 has no earlier blocks, hence no segment.
-                    slots.push(OffSlot {
-                        block: b,
-                        start: block_ptr[b],
-                        off: o0,
-                    });
-                }
-            }
-            slots.sort_by_key(|s| s.off.len());
-            let queue = std::sync::Mutex::new(slots);
-            let obs = obskit::current();
-            let workers = threads.min(nblocks - 1);
-            let (l_cols, perm_r, pinv) = (&l_cols, &perm_r, &pinv);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let queue = &queue;
-                    let obs = obs.clone();
-                    let (row_block, scale) = (&row_block, &scale);
-                    scope.spawn(move || {
-                        let _obs = obs.map(obskit::install_handle);
-                        let mut x = vec![0.0_f64; n];
-                        let mut mark = vec![false; n];
-                        let mut topo: Vec<usize> = Vec::new();
-                        let mut elim: Vec<usize> = Vec::new();
-                        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
-                        loop {
-                            let Some(slot) = queue.lock().unwrap().pop() else {
-                                break;
-                            };
-                            for jj in 0..slot.off.len() {
-                                let j = slot.start + jj;
-                                let col = perm_c[j];
-                                let (rows, vals) = a.col(col);
-                                // Reachability through earlier blocks
-                                // only; every reached row is pivoted.
-                                topo.clear();
-                                for &r in rows {
-                                    if row_block[r] >= slot.block || mark[r] {
-                                        continue;
-                                    }
-                                    dfs_stack.push((r, 0));
-                                    mark[r] = true;
-                                    while let Some(&mut (node, ref mut child)) =
-                                        dfs_stack.last_mut()
-                                    {
-                                        let children: &[(usize, f64)] = &l_cols[pinv[node]];
-                                        if *child < children.len() {
-                                            let next = children[*child].0;
-                                            *child += 1;
-                                            if !mark[next] {
-                                                mark[next] = true;
-                                                dfs_stack.push((next, 0));
-                                            }
-                                        } else {
-                                            topo.push(node);
-                                            dfs_stack.pop();
-                                        }
-                                    }
-                                }
-                                if topo.is_empty() {
-                                    continue;
-                                }
-                                for (r, v) in rows.iter().zip(vals.iter()) {
-                                    if row_block[*r] < slot.block {
-                                        x[*r] = *v * scale[*r];
-                                    }
-                                }
-                                elim.clear();
-                                for &node in &topo {
-                                    elim.push(pinv[node]);
-                                }
-                                elim.sort_unstable();
-                                for &pk in &elim {
-                                    let xk = x[perm_r[pk]];
-                                    if xk != 0.0 {
-                                        for &(r, l) in &l_cols[pk] {
-                                            x[r] -= l * xk;
-                                        }
-                                    }
-                                }
-                                let seg = &mut slot.off[jj];
-                                seg.reserve(elim.len());
-                                for &pk in &elim {
-                                    let node = perm_r[pk];
-                                    seg.push((pk, x[node]));
-                                    x[node] = 0.0;
-                                    mark[node] = false;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Assemble: the off-block segment (ascending earlier-block
-        // pivots) precedes the within-block segment, matching the serial
-        // kernel's ascending-pivot u_cols order.
-        for (seg, ucol) in off_cols.iter_mut().zip(u_cols.iter_mut()) {
-            if !seg.is_empty() {
-                seg.append(ucol);
-                std::mem::swap(seg, ucol);
-            }
-        }
-
-        Ok(SparseLu {
-            n,
-            l_cols,
-            u_cols,
-            u_diag,
-            perm_r,
-            perm_c: plan.col_order.clone(),
-            a_indptr: a.indptr().to_vec(),
-            a_indices: a.indices().to_vec(),
-            pivot_threshold: 0.1,
-            diag_row: plan.diag_row.clone(),
-            row_scale: Some(scale),
-        })
-    }
-
-    /// Phase-1 worker body: Gilbert–Peierls elimination of one diagonal
-    /// block, confined to the block's rows. Mirrors [`SparseLu::factor_core`]
-    /// restricted to block `block` — the restriction changes no
-    /// floating-point operation, because within-block values are
-    /// untouched by earlier-block eliminations.
-    #[allow(clippy::too_many_arguments)]
-    fn factor_one_block(
-        a: &Csc,
-        perm_c: &[usize],
-        diag_row: &[usize],
-        row_block: &[usize],
-        scale: &[f64],
-        block: usize,
-        slot: BlockSlot<'_>,
-        x: &mut [f64],
-        mark: &mut [bool],
-        pinv: &mut [usize],
-    ) -> Result<(), SparseError> {
-        let start = slot.start;
-        let bn = slot.u_diag.len();
-        let mut topo: Vec<usize> = Vec::with_capacity(bn);
-        let mut elim: Vec<usize> = Vec::with_capacity(bn);
-        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
-        for jj in 0..bn {
-            let j = start + jj;
-            let col = perm_c[j];
-            let dr = diag_row[col];
-            let (rows, vals) = a.col(col);
-
-            // Symbolic: reachability DFS through the block's L graph.
-            // Roots outside the block are earlier-block rows (the matrix
-            // is block upper triangular); they feed the off-block U
-            // segment of phase 2, not this elimination.
-            topo.clear();
-            for &r in rows {
-                if row_block[r] != block || mark[r] {
-                    continue;
-                }
-                dfs_stack.push((r, 0));
-                mark[r] = true;
-                while let Some(&mut (node, ref mut child)) = dfs_stack.last_mut() {
-                    let pk = pinv[node];
-                    let children: &[(usize, f64)] = if pk == UNPIVOTED {
-                        &[]
-                    } else {
-                        &slot.l_cols[pk - start]
-                    };
-                    if *child < children.len() {
-                        let next = children[*child].0;
-                        *child += 1;
-                        if !mark[next] {
-                            mark[next] = true;
-                            dfs_stack.push((next, 0));
-                        }
-                    } else {
-                        topo.push(node);
-                        dfs_stack.pop();
-                    }
-                }
-            }
-
-            // Numeric: scatter the block's rows of A(:,col) (scaled) and
-            // eliminate in ascending pivot order, as the serial kernel.
-            for (r, v) in rows.iter().zip(vals.iter()) {
-                if row_block[*r] == block {
-                    x[*r] = *v * scale[*r];
-                }
-            }
-            elim.clear();
-            for &node in &topo {
-                if pinv[node] != UNPIVOTED {
-                    elim.push(pinv[node]);
-                }
-            }
-            elim.sort_unstable();
-            for &pk in &elim {
-                let xk = x[slot.perm_r[pk - start]];
-                if xk != 0.0 {
-                    for &(r, l) in &slot.l_cols[pk - start] {
-                        x[r] -= l * xk;
-                    }
-                }
-            }
-
-            // Pivot selection — identical scan order and tie handling to
-            // the serial kernel (topo order, strict maximum, matched
-            // diagonal preferred at the 0.1 threshold).
-            let mut max_abs = 0.0_f64;
-            let mut max_row = UNPIVOTED;
-            let mut diag_abs = 0.0_f64;
-            for &node in &topo {
-                if pinv[node] == UNPIVOTED {
-                    let v = x[node].abs();
-                    if v > max_abs {
-                        max_abs = v;
-                        max_row = node;
-                    }
-                    if node == dr {
-                        diag_abs = v;
-                    }
-                }
-            }
-            if max_row == UNPIVOTED || max_abs == 0.0 {
-                for &node in &topo {
-                    x[node] = 0.0;
-                    mark[node] = false;
-                }
-                return Err(SparseError::Singular { column: col });
-            }
-            let pivot_row = if diag_abs >= 0.1 * max_abs {
-                dr
-            } else {
-                max_row
-            };
-            let pivot_val = x[pivot_row];
-
-            pinv[pivot_row] = j;
-            slot.perm_r[jj] = pivot_row;
-            slot.u_diag[jj] = pivot_val;
-
-            for &pk in &elim {
-                let node = slot.perm_r[pk - start];
-                slot.u_cols[jj].push((pk, x[node]));
-                x[node] = 0.0;
-                mark[node] = false;
-            }
-            for &node in &topo {
-                if pinv[node] == UNPIVOTED {
-                    slot.l_cols[jj].push((node, x[node] / pivot_val));
-                    x[node] = 0.0;
-                    mark[node] = false;
-                } else if pinv[node] == j {
-                    x[node] = 0.0;
-                    mark[node] = false;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Row equilibration factors `s[r] = 1 / max|A[r,:]|` (`1.0` for
@@ -1383,116 +938,6 @@ mod tests {
         let b = vec![1.0; 2];
         let x = fresh.solve(&b).unwrap();
         assert!(residual_inf(&a2, &x, &b) < 1e-12);
-    }
-
-    /// Same-pattern pair with several strongly connected diagonal
-    /// blocks and random upper (earlier-row, later-column) coupling — a
-    /// BTF-rich shape the parallel factoriser actually distributes.
-    fn multiblock_pair(seed: u64) -> (Csc, Csc) {
-        let sizes = [6usize, 1, 9, 4, 1, 5];
-        let n: usize = sizes.iter().sum();
-        let mut s1 = seed;
-        let mut s2 = seed.wrapping_mul(131).wrapping_add(17);
-        let mut sc = seed.wrapping_mul(977).wrapping_add(3);
-        let mut t1 = Triplets::new(n, n);
-        let mut t2 = Triplets::new(n, n);
-        let mut both = |i: usize, j: usize, base: f64, s1: &mut u64, s2: &mut u64| {
-            t1.push(i, j, base + lcg(s1));
-            t2.push(i, j, base + lcg(s2));
-        };
-        let mut starts = Vec::new();
-        let mut start = 0;
-        for &bs in &sizes {
-            starts.push(start);
-            for i in 0..bs {
-                both(start + i, start + i, 6.0, &mut s1, &mut s2);
-                if i > 0 {
-                    both(start + i, start + i - 1, 0.0, &mut s1, &mut s2);
-                    both(start + i - 1, start + i, 0.0, &mut s1, &mut s2);
-                }
-            }
-            start += bs;
-        }
-        for p in 0..sizes.len() {
-            for q in p + 1..sizes.len() {
-                for _ in 0..2 {
-                    let i =
-                        starts[p] + (((lcg(&mut sc) + 0.5) * sizes[p] as f64) as usize) % sizes[p];
-                    let j =
-                        starts[q] + (((lcg(&mut sc) + 0.5) * sizes[q] as f64) as usize) % sizes[q];
-                    both(i, j, 0.0, &mut s1, &mut s2);
-                }
-            }
-        }
-        (t1.to_csc(), t2.to_csc())
-    }
-
-    #[test]
-    fn parallel_ordered_factor_is_bitwise_identical() {
-        for seed in 1..4u64 {
-            let (a, _) = multiblock_pair(seed);
-            let plan = crate::klu::OrderingPlan::for_matrix(&a).unwrap();
-            assert!(plan.nblocks() > 1, "test matrix must be BTF-rich");
-            let serial = SparseLu::factor_ordered(&a, &plan).unwrap();
-            let b: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.31).sin()).collect();
-            let xs = serial.solve(&b).unwrap();
-            for threads in [1usize, 2, 3, 7] {
-                let par = SparseLu::factor_ordered_threads(&a, &plan, threads).unwrap();
-                assert_eq!(serial.perm_r, par.perm_r, "seed {seed} threads {threads}");
-                assert_eq!(serial.perm_c, par.perm_c, "seed {seed} threads {threads}");
-                assert_eq!(
-                    serial.row_scale, par.row_scale,
-                    "seed {seed} threads {threads}"
-                );
-                assert_eq!(serial.u_diag, par.u_diag, "seed {seed} threads {threads}");
-                assert_eq!(serial.u_cols, par.u_cols, "seed {seed} threads {threads}");
-                assert_eq!(serial.l_cols, par.l_cols, "seed {seed} threads {threads}");
-                let xp = par.solve(&b).unwrap();
-                for (p, q) in xs.iter().zip(xp.iter()) {
-                    assert_eq!(p.to_bits(), q.to_bits(), "seed {seed} threads {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_ordered_factor_supports_refactor() {
-        // A parallel factor carries the same symbolic state as a serial
-        // one, so `refactor` on it must reproduce a fresh serial factor
-        // of the second matrix bit for bit.
-        for seed in 1..4u64 {
-            let (a1, a2) = multiblock_pair(seed);
-            let plan = crate::klu::OrderingPlan::for_matrix(&a1).unwrap();
-            let mut par = SparseLu::factor_ordered_threads(&a1, &plan, 3).unwrap();
-            par.refactor(&a2).unwrap();
-            let fresh = SparseLu::factor_ordered(&a2, &plan).unwrap();
-            assert_eq!(fresh.u_diag, par.u_diag, "seed {seed}");
-            assert_eq!(fresh.u_cols, par.u_cols, "seed {seed}");
-            assert_eq!(fresh.l_cols, par.l_cols, "seed {seed}");
-            assert_eq!(fresh.row_scale, par.row_scale, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_ordered_factor_reports_first_block_error() {
-        // Three 2x2 blocks, the first and third numerically singular
-        // (structurally full, so the plan still builds). The serial
-        // kernel fails at the first bad column of the first bad block;
-        // the parallel path must report the identical error even though
-        // a later block also fails.
-        let mut t = Triplets::new(6, 6);
-        for (o, v) in [(0usize, 0.0f64), (2, 4.0), (4, 0.0)] {
-            t.push(o, o, v);
-            t.push(o + 1, o + 1, v);
-            t.push(o, o + 1, v);
-            t.push(o + 1, o, v);
-        }
-        let a = t.to_csc();
-        let plan = crate::klu::OrderingPlan::for_matrix(&a).unwrap();
-        assert!(plan.nblocks() >= 3);
-        let es = SparseLu::factor_ordered(&a, &plan).unwrap_err();
-        let ep = SparseLu::factor_ordered_threads(&a, &plan, 3).unwrap_err();
-        assert_eq!(format!("{es:?}"), format!("{ep:?}"));
     }
 
     #[test]

@@ -119,22 +119,6 @@ impl Triplets {
         self.vals.extend(other.vals.iter().map(|v| v * s));
     }
 
-    /// Appends every entry of `other` unchanged — the merge step for
-    /// reassembling index-disjoint per-thread stamp arenas in canonical
-    /// (serial) order, which keeps the [`Triplets::to_csr`] result
-    /// bitwise identical to a single-arena assembly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn append(&mut self, other: &Triplets) {
-        assert_eq!(self.nrows, other.nrows, "append: row mismatch");
-        assert_eq!(self.ncols, other.ncols, "append: col mismatch");
-        self.rows.extend_from_slice(&other.rows);
-        self.cols.extend_from_slice(&other.cols);
-        self.vals.extend_from_slice(&other.vals);
-    }
-
     /// Iterates over raw `(row, col, value)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.rows

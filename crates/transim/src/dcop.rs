@@ -33,9 +33,7 @@ impl<D: Dae + ?Sized> NonlinearSystem for DcSystem<'_, D> {
     }
 
     fn jacobian_triplets(&self, x: &[f64], out: &mut sparsekit::Triplets) -> bool {
-        let lease = linsolve::CoreBudget::lease_ambient();
-        self.dae.jac_f_triplets_threads(x, out, lease.threads());
-        drop(lease);
+        self.dae.jac_f_triplets(x, out);
         for i in 0..self.dim() {
             out.push(i, i, self.gmin);
         }

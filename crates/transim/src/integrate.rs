@@ -50,8 +50,7 @@ pub struct TransientOptions {
 ///
 /// This is the workspace-wide [`obskit::RunStats`] summary (shared with
 /// `mpde::MpdeStats` and `wampde::EnvelopeStats`): `steps`, `rejected`,
-/// `newton_iters`, `factorisations`, `symbolic_reuses`. The former
-/// `newton_iterations` field survives as a deprecated accessor method.
+/// `newton_iters`, `factorisations`, `symbolic_reuses`.
 pub type TransientStats = obskit::RunStats;
 
 /// A transient waveform: accepted time points and states.
@@ -160,18 +159,13 @@ impl<D: Dae + ?Sized> NonlinearSystem for StepSystem<'_, D> {
     }
 
     fn jacobian_triplets(&self, x: &[f64], out: &mut Triplets) -> bool {
-        // J = a0h·C + θ·G from the DAE's sparse stamps. One core lease
-        // spans both stamp passes (they run back to back, never
-        // concurrently, so one claim covers them).
-        let lease = linsolve::CoreBudget::lease_ambient();
+        // J = a0h·C + θ·G from the DAE's sparse stamps.
         let mut scratch = self.tbuf.borrow_mut();
         scratch.clear();
-        self.dae
-            .jac_q_triplets_threads(x, &mut scratch, lease.threads());
+        self.dae.jac_q_triplets(x, &mut scratch);
         out.append_scaled(&scratch, self.a0h);
         scratch.clear();
-        self.dae
-            .jac_f_triplets_threads(x, &mut scratch, lease.threads());
+        self.dae.jac_f_triplets(x, &mut scratch);
         out.append_scaled(&scratch, self.theta);
         true
     }

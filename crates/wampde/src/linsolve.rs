@@ -9,8 +9,8 @@
 
 use crate::error::WampdeError;
 pub use ::linsolve::{
-    resolve_thread_count, BlockCirculantPrecond, CoreBudget, CoreBudgetGuard, CoreLease,
-    CyclicShape, FactoredJacobian, JacobianParts, LinSolveError, LinearSolverKind, NewtonMatrix,
+    BlockCirculantPrecond, CyclicShape, FactoredJacobian, JacobianParts, LinSolveError,
+    LinearSolverKind, NewtonMatrix,
 };
 use hb::Colloc;
 

@@ -292,112 +292,6 @@ proptest! {
         }
     }
 
-    /// Parallel BTF-block factorisation is bitwise identical to the
-    /// serial kernel on random block-triangular matrices at every
-    /// thread count — including counts above the block count.
-    #[test]
-    fn parallel_factor_ordered_bitwise_identical(
-        sizes in prop::collection::vec(1usize..8, 1..5),
-        seed in prop::collection::vec(-1.0f64..1.0, 240),
-    ) {
-        // Random BTF-rich matrix: diagonally dominant blocks on the
-        // diagonal, coupling entries only from each block to the next,
-        // so the strongly connected components are exactly the blocks.
-        let n: usize = sizes.iter().sum();
-        let starts: Vec<usize> = sizes
-            .iter()
-            .scan(0, |acc, &s| { let v = *acc; *acc += s; Some(v) })
-            .collect();
-        let mut t = Triplets::new(n, n);
-        let mut k = 0;
-        for (b, (&start, &size)) in starts.iter().zip(sizes.iter()).enumerate() {
-            for r in 0..size {
-                let i = start + r;
-                t.push(i, i, 4.0 + seed[k % seed.len()].abs());
-                k += 1;
-                for _ in 0..2 {
-                    let j = start + ((seed[k % seed.len()].abs() * size as f64) as usize) % size;
-                    t.push(i, j, seed[(k + 7) % seed.len()]);
-                    k += 2;
-                }
-                if b + 1 < sizes.len() {
-                    let nb = sizes[b + 1];
-                    let j = starts[b + 1]
-                        + ((seed[k % seed.len()].abs() * nb as f64) as usize) % nb;
-                    t.push(i, j, seed[(k + 3) % seed.len()]);
-                    k += 1;
-                }
-            }
-        }
-        let csc = t.to_csc();
-        let plan = sparsekit::OrderingPlan::for_matrix(&csc).unwrap();
-        let serial = SparseLu::factor_ordered(&csc, &plan).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| 0.5 + (i as f64) * 0.125).collect();
-        let xs = serial.solve(&b).unwrap();
-        for threads in [1usize, 2, 7] {
-            let par = SparseLu::factor_ordered_threads(&csc, &plan, threads).unwrap();
-            prop_assert_eq!(
-                format!("{:?}", par),
-                format!("{:?}", serial),
-                "factors differ at {} threads",
-                threads
-            );
-            let xp = par.solve(&b).unwrap();
-            for (a, c) in xp.iter().zip(xs.iter()) {
-                prop_assert_eq!(a.to_bits(), c.to_bits(), "{} threads: {} vs {}", threads, a, c);
-            }
-        }
-    }
-
-    /// Parallel per-mode LU construction of the block-circulant
-    /// preconditioner is bitwise identical to the serial build over
-    /// random cyclic shapes and block values, at every thread count.
-    #[test]
-    fn parallel_circulant_precond_bitwise_identical(
-        blocks in 1usize..6,
-        block_dim in 1usize..8,
-        seed in prop::collection::vec(-1.0f64..1.0, 200),
-    ) {
-        let shape = linsolve::CyclicShape { blocks, block_dim };
-        let n = shape.dim();
-        let mut t = Triplets::new(n, n);
-        let mut k = 0;
-        for bi in 0..blocks {
-            for r in 0..block_dim {
-                let i = bi * block_dim + r;
-                t.push(i, i, 3.0 + seed[k % seed.len()].abs());
-                k += 1;
-                // In-block fill plus a cyclic neighbour coupling.
-                let j = bi * block_dim
-                    + ((seed[k % seed.len()].abs() * block_dim as f64) as usize) % block_dim;
-                t.push(i, j, seed[(k + 5) % seed.len()]);
-                let jn = ((bi + 1) % blocks) * block_dim + r;
-                t.push(i, jn, 0.25 * seed[(k + 11) % seed.len()]);
-                k += 2;
-            }
-        }
-        let a = t.to_csr();
-        let serial = linsolve::BlockCirculantPrecond::from_csr(&a, shape).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| seed[i % seed.len()]).collect();
-        let mut ys = vec![0.0; n];
-        sparsekit::Precond::apply(&serial, &x, &mut ys);
-        for threads in [1usize, 2, 7] {
-            let par = linsolve::BlockCirculantPrecond::from_csr_threads(&a, shape, threads)
-                .unwrap();
-            prop_assert_eq!(
-                format!("{:?}", par),
-                format!("{:?}", serial),
-                "mode LUs differ at {} threads",
-                threads
-            );
-            let mut yp = vec![0.0; n];
-            sparsekit::Precond::apply(&par, &x, &mut yp);
-            for (a2, c) in yp.iter().zip(ys.iter()) {
-                prop_assert_eq!(a2.to_bits(), c.to_bits(), "{} threads: {} vs {}", threads, a2, c);
-            }
-        }
-    }
-
     /// Spectral differentiation of a random band-limited signal matches
     /// the analytic derivative at the grid points.
     #[test]
